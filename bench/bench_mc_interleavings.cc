@@ -7,7 +7,7 @@
 //     random walk vs PCT at equal budgets — the paper's reason for using PCT-based
 //     Shuttle on large harnesses.
 //  3. DFS statistics on the small buffer-pool harness — the Loom-style sound check:
-//     exhaustively enumerates every schedule.
+//     with partial-order reduction, one schedule per class of equivalent schedules.
 //
 //   $ ./build/bench/bench_mc_interleavings
 
@@ -114,7 +114,7 @@ void DfsExhaustive() {
   McResult result = McExplore(MakeBufferPoolBody(), options);
   printf("schedules explored: %zu, total scheduling steps: %llu, %s\n",
          result.executions, static_cast<unsigned long long>(result.total_steps),
-         result.exhausted ? "EXHAUSTED (sound: every interleaving checked)"
+         result.exhausted ? "EXHAUSTED (sound: every class of equivalent interleavings checked)"
                           : "budget hit before exhaustion");
   printf("(this is the Loom-style soundness/scalability trade-off: exhaustive checking\n");
   printf(" is feasible only for small correctness-critical harnesses; the Fig-4 harness\n");

@@ -126,35 +126,142 @@ class ReplayStrategy : public Strategy {
   const std::vector<uint32_t>* schedule_;
 };
 
-// Systematic enumeration: a schedule prefix to replay, then first-choice defaults; the
-// driver advances the prefix like an odometer.
-class DfsStrategy : public Strategy {
+// What one scheduling step did, as DPOR sees it: the task that ran, the ss::sync objects
+// it touched, and the tasks it released — spawned, or woke from a blocked state — whose
+// next step is therefore ordered after it. Objects are mutex, condvar and Atomic ids
+// plus a per-task finish key (FinishKey); ids are addresses, so they compare only within
+// one execution.
+struct StepFootprint {
+  uint64_t task = 0;
+  std::vector<uintptr_t> objects;
+  std::vector<uint64_t> released;
+};
+
+// The object a task's end and a Join on it both touch. Top-of-address-space values are
+// never the address of a live primitive.
+uintptr_t FinishKey(uint64_t task_id) { return ~static_cast<uintptr_t>(task_id); }
+
+// Dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005). The explored
+// schedule is a path of nodes, one per step; each node keeps the tasks runnable there,
+// a backtrack set of tasks that must be tried first there, and a done set. An execution replays the
+// path, takes the node's chosen task at its end, then runs the lowest runnable task at
+// every new node. Afterwards, Analyze() finds every race — a step j and the latest
+// earlier step i on one of j's objects, of another task, that does not happen before j
+// — and adds j's task to i's backtrack set (or all of i's runnable tasks, if j's task
+// could not run there). Advance() moves to the deepest node with a backtrack task not
+// yet done.
+class DporStrategy : public Strategy {
  public:
-  struct Node {
-    size_t chosen = 0;
-    size_t num_choices = 0;
-  };
-
-  explicit DfsStrategy(std::vector<Node>* path) : path_(path) {}
-
   size_t Pick(const std::vector<uint64_t>& runnable, size_t step) override {
-    if (step < path_->size()) {
-      Node& node = (*path_)[step];
-      node.num_choices = runnable.size();
-      return std::min(node.chosen, runnable.size() - 1);
+    if (step < path_.size()) {
+      Node& node = path_[step];
+      auto it = std::find(runnable.begin(), runnable.end(), node.chosen);
+      if (it != runnable.end()) {
+        return static_cast<size_t>(it - runnable.begin());
+      }
+      node.chosen = runnable[0];  // `body` is not deterministic; keep going
+      return 0;
     }
-    path_->push_back(Node{0, runnable.size()});
+    path_.push_back(Node{runnable, {runnable[0]}, {runnable[0]}, runnable[0]});
     return 0;
   }
 
+  void Analyze(const std::vector<StepFootprint>& steps) {
+    // Vector clocks over the happens-before order (program order, spawn, and steps on a
+    // common object): clock[t] is one past the index of t's latest step ordered before.
+    size_t num_tasks = 1;
+    for (const StepFootprint& step : steps) {
+      num_tasks = std::max<size_t>(num_tasks, step.task + 1);
+      for (uint64_t other : step.released) {
+        num_tasks = std::max<size_t>(num_tasks, other + 1);
+      }
+    }
+    std::vector<Clock> task_clock(num_tasks, Clock(num_tasks, 0));
+    std::vector<Clock> step_clock(steps.size());
+    std::map<uintptr_t, size_t> last_step;  // object -> latest step that touched it
+    for (size_t j = 0; j < steps.size(); ++j) {
+      const StepFootprint& step = steps[j];
+      Clock clock = task_clock[step.task];
+      for (uintptr_t object : step.objects) {
+        auto it = last_step.find(object);
+        if (it == last_step.end()) {
+          continue;
+        }
+        const size_t i = it->second;
+        if (steps[i].task != step.task && clock[steps[i].task] <= i) {
+          AddBacktrack(&path_[i], step.task);
+        }
+      }
+      for (uintptr_t object : step.objects) {
+        auto it = last_step.find(object);
+        if (it != last_step.end()) {
+          JoinClock(&clock, step_clock[it->second]);
+        }
+      }
+      clock[step.task] = j + 1;
+      for (uintptr_t object : step.objects) {
+        last_step[object] = j;
+      }
+      for (uint64_t other : step.released) {
+        JoinClock(&task_clock[other], clock);
+      }
+      task_clock[step.task] = clock;
+      step_clock[j] = std::move(clock);
+    }
+  }
+
+  // Sets up the next execution; false once every backtrack set is done.
+  bool Advance() {
+    while (!path_.empty()) {
+      Node& node = path_.back();
+      for (uint64_t task : node.backtrack) {
+        if (node.done.insert(task).second) {
+          node.chosen = task;
+          return true;
+        }
+      }
+      path_.pop_back();
+    }
+    return false;
+  }
+
  private:
-  std::vector<Node>* path_;
+  struct Node {
+    std::vector<uint64_t> runnable;
+    std::set<uint64_t> backtrack;
+    std::set<uint64_t> done;
+    uint64_t chosen = 0;
+  };
+
+  using Clock = std::vector<size_t>;
+
+  static void JoinClock(Clock* into, const Clock& other) {
+    for (size_t t = 0; t < into->size(); ++t) {
+      (*into)[t] = std::max((*into)[t], other[t]);
+    }
+  }
+
+  static void AddBacktrack(Node* node, uint64_t task) {
+    if (std::find(node->runnable.begin(), node->runnable.end(), task) !=
+        node->runnable.end()) {
+      node->backtrack.insert(task);
+    } else {
+      node->backtrack.insert(node->runnable.begin(), node->runnable.end());
+    }
+  }
+
+  std::vector<Node> path_;
 };
 
 class McRuntime : public SchedHooks {
  public:
-  McRuntime(Strategy* strategy, size_t max_steps, bool check_lock_order = true)
-      : strategy_(strategy), max_steps_(max_steps), check_lock_order_(check_lock_order) {}
+  // With `footprints`, records what each strategy-picked step touched (for DPOR).
+  McRuntime(Strategy* strategy, size_t max_steps, bool check_lock_order = true,
+            std::vector<StepFootprint>* footprints = nullptr)
+      : strategy_(strategy),
+        max_steps_(max_steps),
+        check_lock_order_(check_lock_order),
+        footprints_(footprints) {}
 
   // --- Driver side --------------------------------------------------------------------
 
@@ -197,6 +304,7 @@ class McRuntime : public SchedHooks {
     Task* self = Current();
     while (true) {
       SchedPoint(self);
+      Touch(mutex_id);
       auto it = mutex_owner_.find(mutex_id);
       if (it == mutex_owner_.end()) {
         mutex_owner_[mutex_id] = self->id;
@@ -212,6 +320,7 @@ class McRuntime : public SchedHooks {
     // Reached from destructors (LockGuard) — possibly during exception unwinding — so
     // this must never throw McKilled.
     Task* self = Current();
+    Touch(mutex_id);
     mutex_owner_.erase(mutex_id);
     WakeBlocked(TaskState::kBlockedMutex, mutex_id);
     SchedPointNoKill(self);
@@ -219,6 +328,8 @@ class McRuntime : public SchedHooks {
 
   void CondWait(uintptr_t cv_id, uintptr_t mutex_id) override {
     Task* self = Current();
+    Touch(mutex_id);
+    Touch(cv_id);
     mutex_owner_.erase(mutex_id);
     WakeBlocked(TaskState::kBlockedMutex, mutex_id);
     self->state = TaskState::kBlockedCv;
@@ -238,17 +349,22 @@ class McRuntime : public SchedHooks {
   void CondNotifyAll(uintptr_t cv_id) override {
     // Also reachable from destructors; never throws.
     Task* self = Current();
+    Touch(cv_id);
     WakeBlocked(TaskState::kBlockedCv, cv_id);
     SchedPointNoKill(self);
   }
 
-  void SharedAccess(uintptr_t cell_id) override { SchedPoint(Current()); }
+  void SharedAccess(uintptr_t cell_id) override {
+    SchedPoint(Current());
+    Touch(cell_id);
+  }
 
   void Yield() override { SchedPoint(Current()); }
 
   uint64_t Spawn(std::function<void()> body) override {
     Task* self = Current();
     const uint64_t id = SpawnInternal(std::move(body));
+    Released(id);
     SchedPoint(self);
     return id;
   }
@@ -267,6 +383,7 @@ class McRuntime : public SchedHooks {
       if (poisoned_) {
         return;
       }
+      Touch(FinishKey(token));
       Task* target = FindTask(token);
       if (target == nullptr || target->state == TaskState::kFinished) {
         return;
@@ -328,11 +445,13 @@ class McRuntime : public SchedHooks {
         }
         poisoned_ = true;
       }
+      Touch(FinishKey(raw->id));
       raw->state = TaskState::kFinished;
       // Unblock joiners.
       for (auto& t : tasks_) {
         if (t->state == TaskState::kBlockedJoin && t->wait_join == raw->id) {
           t->state = TaskState::kRunnable;
+          Released(t->id);
         }
       }
       HandBatonToScheduler();
@@ -340,10 +459,28 @@ class McRuntime : public SchedHooks {
     return raw->id;
   }
 
+  // Adds `object` to the footprint of the step now running. Steps after poisoning are
+  // forced teardown, not part of the explored schedule.
+  void Touch(uintptr_t object) {
+    if (footprints_ != nullptr && !poisoned_) {
+      footprints_->back().objects.push_back(object);
+    }
+  }
+
+  // Orders the next step of `task`, just spawned or woken, after the running step: it
+  // could not run before it. The other orders are reached through the races on the step
+  // that blocked `task` (its lock attempt, wait or join).
+  void Released(uint64_t task) {
+    if (footprints_ != nullptr && !poisoned_) {
+      footprints_->back().released.push_back(task);
+    }
+  }
+
   void WakeBlocked(TaskState state, uintptr_t obj) {
     for (auto& task : tasks_) {
       if (task->state == state && task->wait_obj == obj) {
         task->state = TaskState::kRunnable;
+        Released(task->id);
       }
     }
   }
@@ -454,6 +591,9 @@ class McRuntime : public SchedHooks {
       }
       size_t pick = poisoned_ ? 0 : strategy_->Pick(runnable, steps_);
       Task* chosen = FindTask(runnable[pick]);
+      if (footprints_ != nullptr && !poisoned_) {
+        footprints_->push_back(StepFootprint{chosen->id, {}, {}});
+      }
       trace_.push_back(static_cast<uint32_t>(chosen->id));
       ++steps_;
       GiveBaton(chosen);
@@ -466,6 +606,7 @@ class McRuntime : public SchedHooks {
   // When set, an execution fails if the lock-order witness records any new violation
   // during it — lock-order cycles become model-checking counterexamples.
   bool check_lock_order_;
+  std::vector<StepFootprint>* footprints_;
   std::vector<std::unique_ptr<Task>> tasks_;
   uint64_t next_id_ = 0;
   std::map<uintptr_t, uint64_t> mutex_owner_;
@@ -508,10 +649,10 @@ void McFail(const std::string& message) {
 McResult McExplore(const std::function<void()>& body, const McOptions& options) {
   McResult result;
   if (options.strategy == McOptions::Strategy::kDfs) {
-    std::vector<DfsStrategy::Node> path;
+    DporStrategy strategy;
     for (size_t i = 0; i < options.iterations; ++i) {
-      DfsStrategy strategy(&path);
-      McRuntime runtime(&strategy, options.max_steps, options.check_lock_order);
+      std::vector<StepFootprint> footprints;
+      McRuntime runtime(&strategy, options.max_steps, options.check_lock_order, &footprints);
       ActiveRuntime() = &runtime;
       runtime.Run(body, &result);
       ActiveRuntime() = nullptr;
@@ -519,16 +660,8 @@ McResult McExplore(const std::function<void()>& body, const McOptions& options) 
       if (!result.ok && options.stop_on_failure) {
         return result;
       }
-      // Advance the odometer: find the deepest node with an unexplored sibling.
-      while (!path.empty()) {
-        DfsStrategy::Node& last = path.back();
-        if (last.chosen + 1 < last.num_choices) {
-          ++last.chosen;
-          break;
-        }
-        path.pop_back();
-      }
-      if (path.empty()) {
+      strategy.Analyze(footprints);
+      if (!strategy.Advance()) {
         result.exhausted = true;
         return result;
       }

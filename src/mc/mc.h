@@ -6,9 +6,19 @@
 //   * kPct    — probabilistic concurrency testing (Burckhardt et al. [5]): random
 //               priorities with `pct_depth` priority-change points; gives probabilistic
 //               bug-finding guarantees on low-depth bugs (what Shuttle implements),
-//   * kDfs    — exhaustive depth-first enumeration of schedules (what Loom-style sound
-//               checking amounts to in a sequentially-consistent model); feasible only
-//               for small harnesses.
+//   * kDfs    — exhaustive depth-first search with dynamic partial-order reduction
+//               (DPOR; Flanagan & Godefroid, POPL 2005), the sound checking Loom does.
+//               Two steps of different tasks are dependent if they touch a common
+//               ss::sync object: a mutex (lock attempt or unlock), a condvar (wait or
+//               notify), an Atomic cell, or a task's end and a Join on it. Schedules that
+//               differ only in the order of independent steps reach the same state, so
+//               one of them is run. After each execution the checker finds every race —
+//               a step and the latest earlier dependent step of another task that does
+//               not happen before it — and backtracks to run the two in the other order.
+//               Every reachable outcome, failure and deadlock is still reached, provided
+//               tasks share state only through non-leaf ss::sync primitives or Atomic
+//               (and the data those mutexes guard): leaf locks guard observability only,
+//               so the reduction does not see them. Feasible only for small harnesses.
 //
 // `body` creates fresh state, spawns ss::Thread workers, and asserts with MC_CHECK.
 // Deadlocks (all live threads blocked) are detected and reported with the schedule.
@@ -43,7 +53,7 @@ struct McOptions {
 struct McResult {
   bool ok = true;
   bool deadlock = false;
-  bool exhausted = false;  // kDfs only: the full schedule space was covered
+  bool exhausted = false;  // kDfs only: every class of equivalent schedules was covered
   std::string error;
   size_t executions = 0;
   size_t failures = 0;

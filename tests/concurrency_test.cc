@@ -128,6 +128,7 @@ TEST(ConcurrencyBaseline, BufferPoolExhaustiveDfs) {
   options.iterations = 2000000;
   McResult result = McExplore(MakeBufferPoolBody(), options);
   EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(result.exhausted) << result.executions << " executions";
 }
 
 class SeededConcurrencyBugs : public testing::Test {
@@ -148,6 +149,20 @@ TEST_F(SeededConcurrencyBugs, Bug12BufferPoolDeadlockCaught) {
   EXPECT_FALSE(result.ok);
   EXPECT_TRUE(result.deadlock);
   EXPECT_FALSE(result.failing_schedule.empty());
+}
+
+// The same split acquisition, found by the reduced exhaustive search rather than PCT,
+// with a schedule that replays to the deadlock.
+TEST_F(SeededConcurrencyBugs, Bug12BufferPoolDeadlockCaughtByDfs) {
+  ScopedBug bug(SeededBug::kBufferPoolDeadlock);
+  McOptions options;
+  options.strategy = McOptions::Strategy::kDfs;
+  options.iterations = 2000000;
+  McResult result = McExplore(MakeBufferPoolBody(), options);
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.deadlock) << result.error;
+  ASSERT_FALSE(result.failing_schedule.empty());
+  EXPECT_TRUE(McReplay(MakeBufferPoolBody(), result.failing_schedule).deadlock);
 }
 
 TEST_F(SeededConcurrencyBugs, Bug13ListRemoveRaceCaught) {

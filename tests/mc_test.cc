@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <set>
 
 #include "src/mc/linearizability.h"
 #include "src/mc/mc.h"
@@ -118,6 +120,41 @@ TEST(Mc, DfsFindsLostUpdateAndCanExhaust) {
   EXPECT_TRUE(correct.ok) << correct.error;
   EXPECT_TRUE(correct.exhausted);
   EXPECT_GT(correct.executions, 1u);
+}
+
+// The reduction must keep one schedule of every outcome class. Three tasks each read one
+// cell, then write 1 to another, in a cycle. All-ones would need every read to follow a
+// write that itself follows that read, so exactly the other seven triples are reachable.
+TEST(Mc, DfsReductionReachesEveryOutcomeOfAReadWriteCycle) {
+  std::set<std::array<int, 3>> outcomes;
+  McResult result = McExplore(
+      [&outcomes] {
+        struct Cells {
+          Atomic<int> a;
+          Atomic<int> b;
+          Atomic<int> c;
+          std::array<int, 3> seen{};
+        };
+        auto cells = std::make_shared<Cells>();
+        Thread first = Thread::Spawn([cells] {
+          cells->seen[0] = cells->b.Load();
+          cells->a.Store(1);
+        });
+        Thread second = Thread::Spawn([cells] {
+          cells->seen[1] = cells->c.Load();
+          cells->b.Store(1);
+        });
+        cells->seen[2] = cells->a.Load();
+        cells->c.Store(1);
+        first.Join();
+        second.Join();
+        outcomes.insert(cells->seen);
+      },
+      Opts(McOptions::Strategy::kDfs, 100000));
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(result.exhausted);
+  EXPECT_EQ(outcomes.size(), 7u);
+  EXPECT_EQ(outcomes.count({1, 1, 1}), 0u);
 }
 
 TEST(Mc, DetectsDeadlock) {
