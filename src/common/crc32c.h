@@ -1,4 +1,5 @@
-// CRC32C (Castagnoli) checksum, software implementation.
+// CRC32C (Castagnoli) checksum: the SSE4.2 instruction where the CPU has it, a table
+// otherwise (picked once at run time; both give the same bits).
 //
 // All on-disk payloads are checksummed: the system treats data read from disk as
 // untrusted (paper section 7, "Serialization"), so readers validate CRCs and surface

@@ -35,6 +35,12 @@ Status Reader::Need(size_t n) const {
   return Status::Ok();
 }
 
+Status Reader::Skip(size_t n) {
+  SS_RETURN_IF_ERROR(Need(n));
+  pos_ += n;
+  return Status::Ok();
+}
+
 Result<uint8_t> Reader::GetU8() {
   SS_RETURN_IF_ERROR(Need(1));
   return data_[pos_++];

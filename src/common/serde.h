@@ -58,6 +58,8 @@ class Reader {
   // u32 length prefix followed by the bytes. `max_len` bounds the accepted length so a
   // corrupt prefix cannot drive a huge allocation.
   Result<Bytes> GetBlob(size_t max_len = 1 << 26);
+  // Steps over n bytes without reading them.
+  Status Skip(size_t n);
 
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }

@@ -1,6 +1,8 @@
 #include "src/harness/concurrency.h"
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/kv/shard_store.h"
 #include "src/mc/linearizability.h"
@@ -280,6 +282,75 @@ std::function<void()> MakeCompactLevelReclaimBody() {
     auto got2 = store->Get(2);
     MC_CHECK(got2.ok() && got2.value() == PatternValue(2, 120), "key 2 lost or corrupt");
     MC_CHECK(store->Get(1).code() == StatusCode::kNotFound, "deleted shard resurrected");
+  };
+}
+
+std::function<void()> MakeGetCompactBody() {
+  return [] {
+    std::shared_ptr<Disk> disk = std::make_shared<InMemoryDisk>(SmallGeometry());
+    ShardStoreOptions options;
+    options.chunk.max_payload_bytes = 400;
+    auto store_or = ShardStore::Open(disk.get(), options);
+    MC_CHECK(store_or.ok(), "open failed");
+    std::shared_ptr<ShardStore> store(std::move(store_or).value());
+
+    // A bottom level of two segments (a 400-byte run chunk holds nine one-chunk
+    // entries: keys 0-8 and 9) under a young L0 run holding an overwrite of key 5 and
+    // the delete of key 2. Empty expected value = deleted.
+    constexpr ShardId kKeys = 10;
+    std::vector<Bytes> expected;
+    for (ShardId k = 0; k < kKeys; ++k) {
+      expected.push_back(PatternValue(static_cast<uint8_t>(k), 16));
+      MC_CHECK(store->Put(k, expected[k]).ok(), "setup put");
+    }
+    MC_CHECK(store->FlushIndex().ok(), "setup flush 1");
+    MC_CHECK(store->CompactIndexLevel(0).ok(), "setup compact 0");
+    MC_CHECK(store->CompactIndexLevel(1).ok(), "setup compact 1");
+    expected[5] = PatternValue(0x55, 16);
+    MC_CHECK(store->Put(5, expected[5]).ok(), "setup overwrite");
+    expected[2].clear();
+    MC_CHECK(store->Delete(2).ok(), "setup delete");
+    MC_CHECK(store->FlushIndex().ok(), "setup flush 2");
+    MC_CHECK(store->FlushAll().ok(), "setup flush all");
+    MC_CHECK(store->index().RunLevels() == (std::vector<int>{2, 2, 0}),
+             "setup did not build a two-segment bottom level under one L0 run");
+
+    const auto check_all = [store, expected](const std::string& when) {
+      for (ShardId k = 0; k < kKeys; ++k) {
+        auto got = store->Get(k);
+        const std::string key = " (" + when + ", key " + std::to_string(k) + ")";
+        if (expected[k].empty()) {
+          MC_CHECK(got.code() == StatusCode::kNotFound, "deleted shard resurrected" + key);
+        } else {
+          MC_CHECK(got.ok(), "get failed: " + got.status().ToString() + key);
+          MC_CHECK(got.value() == expected[k], "get returned a wrong value" + key);
+        }
+      }
+    };
+
+    // Background: merge the young run into a new L1 (not the bottom) while a
+    // reclamation sweep relocates live run chunks and drops dead ones.
+    Thread compactor = Thread::Spawn([store] {
+      Status status = store->CompactIndexLevel(0);
+      MC_CHECK(status.ok() || status.code() == StatusCode::kResourceExhausted,
+               "compact level failed: " + status.ToString());
+    });
+    Thread sweeper = Thread::Spawn([store] {
+      for (ExtentId e : store->extents().ExtentsOwnedBy(ExtentOwner::kChunkData)) {
+        if (store->extents().WritePointer(e) == 0) {
+          continue;
+        }
+        Status status = store->ReclaimExtent(e);
+        MC_CHECK(status.ok() || status.code() == StatusCode::kUnavailable,
+                 "reclaim failed: " + status.ToString());
+      }
+    });
+
+    // Foreground: the logical mapping never changes, so every Get must be exact.
+    check_all("racing");
+    compactor.Join();
+    sweeper.Join();
+    check_all("quiesced");
   };
 }
 

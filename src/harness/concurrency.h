@@ -41,6 +41,12 @@ std::function<void()> MakeScanCompactBody(bool seeded_tombstone_bug = false);
 // sweep relocates/drops chunks underneath it (the #14 window, now on the leveled path).
 std::function<void()> MakeCompactLevelReclaimBody();
 
+// Get ∥ CompactLevel ∥ chunk reclamation over a multi-segment bottom level: point
+// lookups of every key (binary search per level, segments searched in place) race a
+// level merge and a sweep that relocates run chunks. The mapping never changes, so
+// every reply must be exact.
+std::function<void()> MakeGetCompactBody();
+
 // Two concurrent appends against a two-permit buffer pool. The correct atomic
 // acquisition serializes; the split acquisition of seeded bug #12 deadlocks.
 std::function<void()> MakeBufferPoolBody();

@@ -13,11 +13,108 @@ namespace {
 // Run chunk payload format:
 //   v1 (historic): [count u32][entries]
 //   v2: [format u8][min_key u64][max_key u64][bloom][count u32][entries]
-// The v2 header is the run's read-path pruning metadata; it is decoded without reading
-// the entries on recovery (LoadRun returns both, callers use what they need).
+// The v2 header is the run's read-path pruning metadata; recovery decodes it without
+// reading the entries. Entries are [id u64][live u8][record if live], sorted by id.
 constexpr uint8_t kRunFormatVersion = 2;
 // Serialized header bytes excluding the bloom filter: format + min + max + count.
 constexpr size_t kRunHeaderBaseBytes = 1 + 8 + 8 + 4;
+// Serialized bytes per chunk locator of a shard record.
+constexpr size_t kLocatorBytes = 16;
+
+// A run chunk payload read in place: Open parses the header, Next steps through the
+// entries in key order, and a record is decoded only when Value asks for it.
+class RunCursor {
+ public:
+  // `filter`, when given, receives the header's key span and bloom filter; otherwise
+  // the filter's bytes are skipped.
+  static Result<RunCursor> Open(ByteSpan payload, RunFilter* filter = nullptr) {
+    RunCursor cursor(payload);
+    Reader& r = cursor.r_;
+    SS_ASSIGN_OR_RETURN(uint8_t format, r.GetU8());
+    if (format != kRunFormatVersion) {
+      return Status::Corruption("run: unknown format version");
+    }
+    RunFilter header;
+    SS_ASSIGN_OR_RETURN(header.min_key, r.GetU64());
+    SS_ASSIGN_OR_RETURN(header.max_key, r.GetU64());
+    if (filter != nullptr) {
+      SS_ASSIGN_OR_RETURN(header.bloom, BloomFilter::Deserialize(r));
+      *filter = std::move(header);
+    } else {
+      SS_ASSIGN_OR_RETURN(uint32_t words, r.GetU32());
+      SS_RETURN_IF_ERROR(r.Skip(uint64_t{words} * 8));
+    }
+    SS_ASSIGN_OR_RETURN(cursor.remaining_, r.GetU32());
+    if (uint64_t{cursor.remaining_} * 9 > r.remaining()) {
+      return Status::Corruption("run: entry count exceeds input");
+    }
+    return cursor;
+  }
+
+  // Steps to the next entry, skipping the current one's record if it was not read.
+  // False past the last entry.
+  Result<bool> Next() {
+    if (unread_record_) {
+      unread_record_ = false;
+      SS_RETURN_IF_ERROR(r_.Skip(8));  // total_bytes
+      SS_ASSIGN_OR_RETURN(uint32_t chunks, r_.GetU32());
+      SS_RETURN_IF_ERROR(r_.Skip(uint64_t{chunks} * kLocatorBytes));
+    }
+    if (remaining_ == 0) {
+      return false;
+    }
+    --remaining_;
+    SS_ASSIGN_OR_RETURN(id_, r_.GetU64());
+    SS_ASSIGN_OR_RETURN(uint8_t live, r_.GetU8());
+    live_ = live != 0;
+    unread_record_ = live_;
+    return true;
+  }
+
+  ShardId id() const { return id_; }
+
+  // The current entry's value (nullopt = tombstone). At most once per entry.
+  Result<std::optional<ShardRecord>> Value() {
+    if (!live_) {
+      return std::optional<ShardRecord>();
+    }
+    unread_record_ = false;
+    SS_ASSIGN_OR_RETURN(ShardRecord record, DeserializeShardRecord(r_));
+    return std::optional<ShardRecord>(std::move(record));
+  }
+
+ private:
+  explicit RunCursor(ByteSpan payload) : r_(payload) {}
+
+  Reader r_;
+  uint32_t remaining_ = 0;
+  ShardId id_ = 0;
+  bool live_ = false;
+  bool unread_record_ = false;
+};
+
+// One key's entry in a run segment: absent, or present as a record or a tombstone.
+struct RunLookup {
+  bool found = false;
+  std::optional<ShardRecord> value;
+};
+
+// Walks the segment's sorted entries up to `id`, skipping records, and decodes only
+// the hit.
+Result<RunLookup> FindInRun(ByteSpan payload, ShardId id) {
+  SS_ASSIGN_OR_RETURN(RunCursor cursor, RunCursor::Open(payload));
+  for (;;) {
+    SS_ASSIGN_OR_RETURN(bool more, cursor.Next());
+    if (!more || cursor.id() > id) {
+      return RunLookup{};
+    }
+    if (cursor.id() == id) {
+      SS_ASSIGN_OR_RETURN(std::optional<ShardRecord> value, cursor.Value());
+      return RunLookup{true, std::move(value)};
+    }
+  }
+}
+
 }  // namespace
 
 void SerializeShardRecord(const ShardRecord& record, Writer& w) {
@@ -45,7 +142,11 @@ Result<ShardRecord> DeserializeShardRecord(Reader& r) {
 
 LsmIndex::LsmIndex(ExtentManager* extents, ChunkStore* chunks, LsmOptions options,
                    MetricRegistry* metrics)
-    : extents_(extents), chunks_(chunks), options_(options), meta_rng_(options.meta_uuid_seed) {
+    : extents_(extents),
+      chunks_(chunks),
+      options_(options),
+      meta_rng_(options.meta_uuid_seed),
+      current_(std::make_shared<const Version>()) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricRegistry>();
     metrics = owned_metrics_.get();
@@ -91,6 +192,7 @@ Result<std::unique_ptr<LsmIndex>> LsmIndex::Open(ExtentManager* extents, ChunkSt
   // Recovery: scan both metadata extents for framed records; adopt the highest version.
   bool found = false;
   uint64_t best_version = 0;
+  std::vector<RunRef> runs;
   for (int m = 0; m < 2; ++m) {
     const ExtentId e = index->meta_extents_[m];
     const uint32_t wp = extents->WritePointer(e);
@@ -146,10 +248,10 @@ Result<std::unique_ptr<LsmIndex>> LsmIndex::Open(ExtentManager* extents, ChunkSt
           best_version = version_or.value();
           index->version_ = version_or.value();
           index->next_seq_ = seq_or.value();
-          index->runs_.clear();
+          runs.clear();
           for (const auto& [loc, level] : run_locs) {
             // Recovered runs are durable by definition.
-            index->runs_.push_back(RunRef{loc, Dependency(), level, nullptr});
+            runs.push_back(RunRef{loc, Dependency(), level, nullptr});
           }
           index->active_meta_ = m;
         }
@@ -160,12 +262,17 @@ Result<std::unique_ptr<LsmIndex>> LsmIndex::Open(ExtentManager* extents, ChunkSt
   // Rebuild each recovered run's pruning filter from its chunk header. Best effort: a
   // run whose chunk cannot be read right now keeps a null filter (lookups fall back to
   // reading the chunk), so recovery itself never fails on the rebuild.
-  for (RunRef& run : index->runs_) {
-    auto run_or = index->LoadRun(run.loc);
-    if (run_or.ok()) {
-      run.filter = run_or.value().filter;
+  for (RunRef& run : runs) {
+    auto payload_or = chunks->Get(run.loc);
+    if (!payload_or.ok()) {
+      continue;
+    }
+    auto filter = std::make_shared<RunFilter>();
+    if (RunCursor::Open(payload_or.value(), filter.get()).ok()) {
+      run.filter = std::move(filter);
     }
   }
+  index->current_ = MakeVersion(std::move(runs));
   SS_COVER(found ? "lsm.recover_with_metadata" : "lsm.recover_empty");
   return index;
 }
@@ -275,38 +382,28 @@ LsmIndex::BuiltRun LsmIndex::BuildRun(const RunMap& entries) {
   return BuiltRun{std::move(w).Take(), std::move(filter)};
 }
 
-Result<LsmIndex::LoadedRun> LsmIndex::DeserializeRun(ByteSpan payload) {
-  Reader r(payload);
-  SS_ASSIGN_OR_RETURN(uint8_t format, r.GetU8());
-  if (format != kRunFormatVersion) {
-    return Status::Corruption("run: unknown format version");
-  }
-  auto filter = std::make_shared<RunFilter>();
-  SS_ASSIGN_OR_RETURN(filter->min_key, r.GetU64());
-  SS_ASSIGN_OR_RETURN(filter->max_key, r.GetU64());
-  SS_ASSIGN_OR_RETURN(filter->bloom, BloomFilter::Deserialize(r));
-  SS_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  if (uint64_t{count} * 9 > r.remaining()) {
-    return Status::Corruption("run: entry count exceeds input");
-  }
-  LoadedRun run;
-  for (uint32_t i = 0; i < count; ++i) {
-    SS_ASSIGN_OR_RETURN(ShardId id, r.GetU64());
-    SS_ASSIGN_OR_RETURN(uint8_t live, r.GetU8());
-    if (live != 0) {
-      SS_ASSIGN_OR_RETURN(ShardRecord record, DeserializeShardRecord(r));
-      run.entries[id] = std::move(record);
-    } else {
-      run.entries[id] = std::nullopt;
+std::shared_ptr<const LsmIndex::Version> LsmIndex::MakeVersion(std::vector<RunRef> runs) {
+  auto version = std::make_shared<Version>();
+  for (size_t i = 0; i < runs.size(); i = version->levels.back().end) {
+    Version::Level level{runs[i].level, i, i, runs[i].level > 0};
+    for (; level.end < runs.size() && runs[level.end].level == level.level; ++level.end) {
+      const RunRef& run = runs[level.end];
+      level.sorted = level.sorted && run.filter != nullptr &&
+                     (level.end == level.begin ||
+                      runs[level.end - 1].filter->max_key < run.filter->min_key);
     }
+    version->levels.push_back(level);
   }
-  run.filter = std::move(filter);
-  return run;
+  version->runs = std::move(runs);
+  return version;
 }
 
-Result<LsmIndex::LoadedRun> LsmIndex::LoadRun(const Locator& loc, const SpanScope& scope) {
-  SS_ASSIGN_OR_RETURN(Bytes payload, chunks_->Get(loc, scope));
-  return DeserializeRun(payload);
+size_t LsmIndex::Version::Seek(const Level& level, ShardId key) const {
+  const auto first = runs.begin() + static_cast<ptrdiff_t>(level.begin);
+  const auto last = runs.begin() + static_cast<ptrdiff_t>(level.end);
+  const auto it = std::partition_point(
+      first, last, [key](const RunRef& run) { return run.filter->max_key < key; });
+  return static_cast<size_t>(it - runs.begin());
 }
 
 Result<std::optional<ShardRecord>> LsmIndex::Get(ShardId id, const SpanScope& scope) {
@@ -314,7 +411,7 @@ Result<std::optional<ShardRecord>> LsmIndex::Get(ShardId id, const SpanScope& sc
   const SpanScope child_scope = span.scope();
   Status last_error = Status::Ok();
   for (int attempt = 0; attempt < 4; ++attempt) {
-    std::vector<std::pair<Locator, std::shared_ptr<const RunFilter>>> runs_snapshot;
+    std::shared_ptr<const Version> version;
     {
       LockGuard lock(mu_);
       gets_->Increment();
@@ -322,44 +419,80 @@ Result<std::optional<ShardRecord>> LsmIndex::Get(ShardId id, const SpanScope& sc
       if (it != memtable_.end()) {
         return it->second.value;
       }
-      for (const RunRef& run : runs_) {
-        runs_snapshot.push_back({run.loc, run.filter});
-      }
+      version = current_;
     }
-    bool retry = false;
-    for (auto rit = runs_snapshot.rbegin(); rit != runs_snapshot.rend(); ++rit) {
-      const auto& [loc, filter] = *rit;
-      if (filter != nullptr && !filter->MayContainKey(id)) {
-        // Definitely not in this run: the chunk read is skipped entirely.
-        bloom_misses_->Increment();
-        continue;
-      }
-      auto run_or = LoadRun(loc, child_scope);
-      if (!run_or.ok()) {
-        // A concurrent compaction/reclamation may have invalidated the snapshot;
-        // re-snapshot and retry.
-        last_error = run_or.status();
-        retry = true;
-        break;
-      }
-      auto it = run_or.value().entries.find(id);
-      if (it != run_or.value().entries.end()) {
-        if (filter != nullptr) {
-          bloom_hits_->Increment();
-        }
-        return it->second;
-      }
-      if (filter != nullptr) {
-        bloom_false_positives_->Increment();
-      }
+    auto found_or = GetFromRuns(*version, id, child_scope);
+    if (found_or.ok()) {
+      return found_or;
     }
-    if (!retry) {
-      return std::optional<ShardRecord>(std::nullopt);
-    }
+    // A concurrent compaction/reclamation may have invalidated the version; take the
+    // current one and retry.
+    last_error = found_or.status();
     YieldThread();
   }
   span.set_status(last_error.code());
   return last_error;
+}
+
+Result<std::optional<ShardRecord>> LsmIndex::GetFromRuns(const Version& version, ShardId id,
+                                                         const SpanScope& scope) {
+  for (auto level = version.levels.rbegin(); level != version.levels.rend(); ++level) {
+    // A sorted level has one candidate: the segment whose span could hold `id`.
+    size_t lo = level->begin;
+    size_t hi = level->end;
+    if (level->sorted) {
+      lo = version.Seek(*level, id);
+      hi = std::min(lo + 1, level->end);
+    }
+    for (size_t i = hi; i-- > lo;) {  // newest first
+      const RunRef& run = version.runs[i];
+      if (run.filter != nullptr && !run.filter->MayContainKey(id)) {
+        // Definitely not in this segment: the chunk read is skipped entirely.
+        bloom_misses_->Increment();
+        continue;
+      }
+      SS_ASSIGN_OR_RETURN(Bytes payload, chunks_->Get(run.loc, scope));
+      SS_ASSIGN_OR_RETURN(RunLookup hit, FindInRun(payload, id));
+      if (hit.found) {
+        if (run.filter != nullptr) {
+          bloom_hits_->Increment();
+        }
+        return std::move(hit.value);
+      }
+      if (run.filter != nullptr) {
+        bloom_false_positives_->Increment();
+      }
+    }
+  }
+  return std::optional<ShardRecord>(std::nullopt);
+}
+
+Status LsmIndex::AppendRunSlice(const Locator& loc, ShardId start, ShardId end, Slice* out,
+                                const SpanScope& scope) {
+  SS_ASSIGN_OR_RETURN(Bytes payload, chunks_->Get(loc, scope));
+  SS_ASSIGN_OR_RETURN(RunCursor cursor, RunCursor::Open(payload));
+  for (;;) {
+    SS_ASSIGN_OR_RETURN(bool more, cursor.Next());
+    if (!more || cursor.id() >= end) {
+      return Status::Ok();
+    }
+    if (cursor.id() >= start) {
+      SS_ASSIGN_OR_RETURN(std::optional<ShardRecord> value, cursor.Value());
+      out->push_back({cursor.id(), std::move(value)});
+    }
+  }
+}
+
+Status LsmIndex::MergeRunInto(const Locator& loc, RunMap* out, const SpanScope& scope) {
+  SS_ASSIGN_OR_RETURN(Bytes payload, chunks_->Get(loc, scope));
+  SS_ASSIGN_OR_RETURN(RunCursor cursor, RunCursor::Open(payload));
+  for (;;) {
+    SS_ASSIGN_OR_RETURN(bool more, cursor.Next());
+    if (!more) {
+      return Status::Ok();
+    }
+    SS_ASSIGN_OR_RETURN((*out)[cursor.id()], cursor.Value());
+  }
 }
 
 Result<std::vector<LsmScanItem>> LsmIndex::Scan(ShardId start, ShardId end,
@@ -370,48 +503,49 @@ Result<std::vector<LsmScanItem>> LsmIndex::Scan(ShardId start, ShardId end,
   if (start >= end) {
     return std::vector<LsmScanItem>{};  // empty window
   }
-  using Slice = std::vector<std::pair<ShardId, std::optional<ShardRecord>>>;
   Status last_error = Status::Ok();
   for (int attempt = 0; attempt < 4; ++attempt) {
-    std::vector<std::pair<Locator, std::shared_ptr<const RunFilter>>> runs_snapshot;
+    std::shared_ptr<const Version> version;
     Slice memtable_slice;
     {
       // One mu_ hold for both snapshots: the memtable overlay and the run list are a
       // consistent point-in-time view (a racing flush moves entries run-ward, which
       // only makes both copies agree).
       LockGuard lock(mu_);
-      for (const RunRef& run : runs_) {
-        runs_snapshot.push_back({run.loc, run.filter});
-      }
+      version = current_;
       for (auto it = memtable_.lower_bound(start); it != memtable_.end() && it->first < end;
            ++it) {
         memtable_slice.push_back({it->first, it->second.value});
       }
     }
     // Sources in age order, oldest first; the memtable is appended last so the merge's
-    // "highest source index wins" rule implements newest-shadows-oldest.
+    // "highest source index wins" rule implements newest-shadows-oldest. A sorted
+    // level's segments are disjoint and ascending, so together they are one source.
     std::vector<Slice> sources;
-    bool retry = false;
-    for (const auto& [loc, filter] : runs_snapshot) {
-      if (filter != nullptr && !filter->OverlapsRange(start, end)) {
-        continue;  // the run's key range misses the window: no chunk read
+    Status status = Status::Ok();
+    for (const Version::Level& level : version->levels) {
+      if (level.sorted) {
+        Slice slice;
+        for (size_t i = version->Seek(level, start);
+             status.ok() && i < level.end && version->runs[i].filter->min_key < end; ++i) {
+          status = AppendRunSlice(version->runs[i].loc, start, end, &slice, child_scope);
+        }
+        sources.push_back(std::move(slice));
+        continue;
       }
-      auto run_or = LoadRun(loc, child_scope);
-      if (!run_or.ok()) {
-        last_error = run_or.status();
-        retry = true;
-        break;
-      }
-      Slice slice;
-      const RunMap& entries = run_or.value().entries;
-      for (auto it = entries.lower_bound(start); it != entries.end() && it->first < end; ++it) {
-        slice.push_back({it->first, it->second});
-      }
-      if (!slice.empty()) {
+      for (size_t i = level.begin; status.ok() && i < level.end; ++i) {
+        const RunRef& run = version->runs[i];
+        if (run.filter != nullptr && !run.filter->OverlapsRange(start, end)) {
+          continue;  // the run's key range misses the window: no chunk read
+        }
+        Slice slice;
+        status = AppendRunSlice(run.loc, start, end, &slice, child_scope);
         sources.push_back(std::move(slice));
       }
     }
-    if (retry) {
+    if (!status.ok()) {
+      // A concurrent compaction/reclamation may have invalidated the version.
+      last_error = status;
       YieldThread();
       continue;
     }
@@ -457,28 +591,26 @@ Result<std::vector<LsmScanItem>> LsmIndex::Scan(ShardId start, ShardId end,
 
 Result<std::vector<ShardId>> LsmIndex::Keys() {
   for (int attempt = 0; attempt < 4; ++attempt) {
-    std::vector<Locator> runs_snapshot;
-    std::map<ShardId, bool> live;
+    std::shared_ptr<const Version> version;
     {
       LockGuard lock(mu_);
-      for (const RunRef& run : runs_) {
-        runs_snapshot.push_back(run.loc);
-      }
+      version = current_;
     }
-    bool retry = false;
-    for (const Locator& loc : runs_snapshot) {  // oldest first; later entries override
-      auto run_or = LoadRun(loc);
-      if (!run_or.ok()) {
-        retry = true;
+    RunMap merged;
+    Status status = Status::Ok();
+    for (const RunRef& run : version->runs) {  // oldest first; later entries override
+      status = MergeRunInto(run.loc, &merged);
+      if (!status.ok()) {
         break;
       }
-      for (const auto& [id, value] : run_or.value().entries) {
-        live[id] = value.has_value();
-      }
     }
-    if (retry) {
+    if (!status.ok()) {
       YieldThread();
       continue;
+    }
+    std::map<ShardId, bool> live;
+    for (const auto& [id, value] : merged) {
+      live[id] = value.has_value();
     }
     {
       LockGuard lock(mu_);
@@ -497,16 +629,17 @@ Result<std::vector<ShardId>> LsmIndex::Keys() {
   return Status::Unavailable("keys: persistent snapshot churn");
 }
 
-Result<Dependency> LsmIndex::WriteMetadataLocked(Dependency input, const SpanScope& scope) {
+Result<Dependency> LsmIndex::WriteMetadataLocked(const Version& version, Dependency input,
+                                                 const SpanScope& scope) {
   ++version_;
   Writer w;
   w.PutU64(version_);
   w.PutU64(next_seq_);
-  w.PutU32(static_cast<uint32_t>(runs_.size()));
+  w.PutU32(static_cast<uint32_t>(version.runs.size()));
   // The record must not reach the disk before every run chunk it references is durable;
   // gating only on the newest change is unsound because the two metadata extents do not
   // share a FIFO ordering across the ping-pong switch.
-  for (const RunRef& run : runs_) {
+  for (const RunRef& run : version.runs) {
     SerializeLocator(run.loc, w);
     w.PutU8(static_cast<uint8_t>(std::min(run.level, 255)));
     input = input.And(run.dep);
@@ -522,8 +655,8 @@ Result<Dependency> LsmIndex::WriteMetadataLocked(Dependency input, const SpanSco
     target = meta_extents_[1 - active_meta_];
     auto appended_or = extents_->Append(target, frame, input, scope);
     if (!appended_or.ok()) {
-      // Nothing reached the disk: give the version number back so callers that roll
-      // their state back (compaction) leave the index exactly as it was.
+      // Nothing reached the disk: give the version number back so a caller that does
+      // not publish its new run list leaves the index exactly as it was.
       --version_;
       return appended_or.status();
     }
@@ -654,18 +787,18 @@ Status LsmIndex::FlushLocked(const SpanScope& scope) {
 
   {
     LockGuard lock(mu_);
+    std::vector<RunRef> runs = current_->runs;
     Dependency runs_dep;
     for (size_t i = 0; i < puts.size(); ++i) {
-      runs_.push_back(RunRef{puts[i].locator, puts[i].dep, 0, filters[i]});
+      runs.push_back(RunRef{puts[i].locator, puts[i].dep, 0, filters[i]});
       runs_dep = runs_dep.And(puts[i].dep);
     }
-    auto meta_or = WriteMetadataLocked(runs_dep, scope);
+    std::shared_ptr<const Version> next = MakeVersion(std::move(runs));
+    auto meta_or = WriteMetadataLocked(*next, runs_dep, scope);
     if (!meta_or.ok()) {
-      for (size_t i = 0; i < puts.size(); ++i) {
-        runs_.pop_back();
-      }
-      status = meta_or.status();
+      status = meta_or.status();  // the new runs are never published
     } else {
+      current_ = std::move(next);
       flushes_->Increment();
       ResolvePromisesLocked(max_seq, meta_or.value());
       // Drop only the entries the run covers; concurrent overwrites stay.
@@ -705,14 +838,7 @@ Status LsmIndex::CompactLevel(int level, const SpanScope& scope) {
 
 void LsmIndex::MaybeCompactLevelsLocked(const SpanScope& scope) {
   constexpr int kMaxLevels = 8;  // bounds the cascade; fanout^8 runs is out of reach
-  size_t level0 = 0;
-  {
-    LockGuard lock(mu_);
-    for (const RunRef& run : runs_) {
-      level0 += run.level == 0 ? 1 : 0;
-    }
-  }
-  if (level0 < options_.level0_compaction_trigger) {
+  if (RunCountAtLevel(0) < options_.level0_compaction_trigger) {
     return;
   }
   // Best effort: a failed background merge surfaces through metrics and the next
@@ -721,14 +847,7 @@ void LsmIndex::MaybeCompactLevelsLocked(const SpanScope& scope) {
     return;
   }
   for (int level = 1; level < kMaxLevels; ++level) {
-    size_t at_level = 0;
-    {
-      LockGuard lock(mu_);
-      for (const RunRef& run : runs_) {
-        at_level += run.level == level ? 1 : 0;
-      }
-    }
-    if (at_level <= options_.level_fanout) {
+    if (RunCountAtLevel(level) <= options_.level_fanout) {
       break;
     }
     if (!CompactInternal(level, scope).ok()) {
@@ -748,16 +867,17 @@ Status LsmIndex::CompactInternal(std::optional<int> level, const SpanScope& scop
     Dependency runs_durable;
     {
       LockGuard lock(mu_);
+      const std::vector<RunRef>& runs = current_->runs;
       if (level.has_value()) {
         // Levels are non-increasing along the oldest-first run list, so the runs at
         // {level, level+1} form one contiguous block; everything before it is deeper.
-        while (begin < runs_.size() && runs_[begin].level > *level + 1) {
+        while (begin < runs.size() && runs[begin].level > *level + 1) {
           ++begin;
         }
         size_t end = begin;
         size_t at_level = 0;
-        while (end < runs_.size() && runs_[end].level >= *level) {
-          at_level += runs_[end].level == *level ? 1 : 0;
+        while (end < runs.size() && runs[end].level >= *level) {
+          at_level += runs[end].level == *level ? 1 : 0;
           ++end;
         }
         if (at_level == 0) {
@@ -769,29 +889,25 @@ Status LsmIndex::CompactInternal(std::optional<int> level, const SpanScope& scop
         // the merge's output remains to resurrect an older version.
         bottom = begin == 0;
       } else {
-        if (runs_.size() <= 1) {
+        if (runs.size() <= 1) {
           return Status::Ok();
         }
-        count = runs_.size();
-        out_level = std::max(1, runs_.front().level);  // full merge: output is the bottom
+        count = runs.size();
+        out_level = std::max(1, runs.front().level);  // full merge: output is the bottom
         bottom = true;
       }
       for (size_t i = begin; i < begin + count; ++i) {
-        input_locs.push_back(runs_[i].loc);
-        runs_durable = runs_durable.And(runs_[i].dep);
+        input_locs.push_back(runs[i].loc);
+        runs_durable = runs_durable.And(runs[i].dep);
       }
       runs_durable = runs_durable.And(last_meta_dep_);
     }
     RunMap merged;
     Status load_error = Status::Ok();
     for (const Locator& loc : input_locs) {  // oldest -> newest
-      auto run_or = LoadRun(loc, scope);
-      if (!run_or.ok()) {
-        load_error = run_or.status();
+      load_error = MergeRunInto(loc, &merged, scope);
+      if (!load_error.ok()) {
         break;
-      }
-      for (auto& [id, value] : run_or.value().entries) {
-        merged[id] = std::move(value);
       }
     }
     if (!load_error.ok()) {
@@ -853,31 +969,29 @@ Status LsmIndex::CompactInternal(std::optional<int> level, const SpanScope& scop
 
     {
       LockGuard lock(mu_);
-      // Membership and order of runs_ are stable while flush_mu_ is held (relocations
-      // may rewrite a locator/dep in place, which the merged content does not depend
-      // on), so the snapshot's [begin, begin+count) block is still the merge's input.
-      std::vector<RunRef> replaced(runs_.begin() + begin, runs_.begin() + begin + count);
+      // Membership and order of the runs are stable while flush_mu_ is held (relocations
+      // may swap a locator/dep, which the merged content does not depend on), so the
+      // snapshot's [begin, begin+count) block is still the merge's input.
+      const std::vector<RunRef>& old_runs = current_->runs;
+      const auto block = old_runs.begin() + static_cast<ptrdiff_t>(begin);
+      std::vector<RunRef> runs(old_runs.begin(), block);
       Dependency runs_dep;
-      std::vector<RunRef> fresh;
       for (size_t i = 0; i < puts.size(); ++i) {
-        fresh.push_back(RunRef{puts[i].locator, puts[i].dep, out_level, filters[i]});
+        runs.push_back(RunRef{puts[i].locator, puts[i].dep, out_level, filters[i]});
         runs_dep = runs_dep.And(puts[i].dep);
       }
-      runs_.erase(runs_.begin() + begin, runs_.begin() + begin + count);
-      runs_.insert(runs_.begin() + begin, fresh.begin(), fresh.end());
-      auto meta_or = WriteMetadataLocked(runs_dep, scope);
+      runs.insert(runs.end(), block + static_cast<ptrdiff_t>(count), old_runs.end());
+      std::shared_ptr<const Version> next = MakeVersion(std::move(runs));
+      auto meta_or = WriteMetadataLocked(*next, runs_dep, scope);
       if (!meta_or.ok()) {
-        // The new run list never persisted. Roll the in-memory list back to the runs
-        // the durable metadata still references: keeping the unreferenced new runs
-        // would let reclamation treat the OLD chunks as garbage while a post-crash
+        // The new run list never persisted, so it is not published: the index keeps the
+        // runs the durable metadata still references. Publishing the unreferenced new
+        // runs would let reclamation treat the OLD chunks as garbage while a post-crash
         // recovery still points at them — silent data loss.
-        runs_.erase(runs_.begin() + begin, runs_.begin() + begin + fresh.size());
-        runs_.insert(runs_.begin() + begin, replaced.begin(), replaced.end());
         status = meta_or.status();
-      } else if (level.has_value()) {
-        level_compactions_->Increment();
       } else {
-        compactions_->Increment();
+        current_ = std::move(next);
+        (level.has_value() ? level_compactions_ : compactions_)->Increment();
       }
     }
     if (!BugEnabled(SeededBug::kCompactReclaimMetadataRace)) {
@@ -903,7 +1017,7 @@ bool LsmIndex::NeedsShutdownFlush() const {
 
 Result<std::optional<ShardId>> LsmIndex::FindShardReferencing(const Locator& loc) {
   // Memtable first: most recent state wins.
-  std::vector<Locator> runs_snapshot;
+  std::shared_ptr<const Version> version;
   {
     LockGuard lock(mu_);
     for (const auto& [id, entry] : memtable_) {
@@ -915,9 +1029,7 @@ Result<std::optional<ShardId>> LsmIndex::FindShardReferencing(const Locator& loc
         }
       }
     }
-    for (const RunRef& run : runs_) {
-      runs_snapshot.push_back(run.loc);
-    }
+    version = current_;
   }
   // Then the runs, newest first. A shard's newest entry (memtable or newer run,
   // including tombstones) shadows older entries: a chunk referenced only by a
@@ -929,9 +1041,10 @@ Result<std::optional<ShardId>> LsmIndex::FindShardReferencing(const Locator& loc
       decided.insert(id);
     }
   }
-  for (auto rit = runs_snapshot.rbegin(); rit != runs_snapshot.rend(); ++rit) {
-    SS_ASSIGN_OR_RETURN(LoadedRun run, LoadRun(*rit));
-    for (const auto& [id, value] : run.entries) {
+  for (auto run = version->runs.rbegin(); run != version->runs.rend(); ++run) {
+    RunMap entries;
+    SS_RETURN_IF_ERROR(MergeRunInto(run->loc, &entries));
+    for (const auto& [id, value] : entries) {
       if (!decided.insert(id).second) {
         continue;  // shadowed by a newer entry
       }
@@ -950,7 +1063,7 @@ Result<std::optional<ShardId>> LsmIndex::FindShardReferencing(const Locator& loc
 
 bool LsmIndex::MetadataReferences(const Locator& loc) const {
   LockGuard lock(mu_);
-  for (const RunRef& run : runs_) {
+  for (const RunRef& run : current_->runs) {
     if (run.loc == loc) {
       return true;
     }
@@ -999,8 +1112,9 @@ Result<Dependency> LsmIndex::RelocateShardChunk(const Locator& old_loc, const Lo
 Result<Dependency> LsmIndex::RelocateRunChunk(const Locator& old_loc, const Locator& new_loc,
                                               const Dependency& new_dep) {
   LockGuard lock(mu_);
+  std::vector<RunRef> runs = current_->runs;
   bool replaced = false;
-  for (RunRef& run : runs_) {
+  for (RunRef& run : runs) {
     if (run.loc == old_loc) {
       run.loc = new_loc;
       run.dep = new_dep;  // the evacuated copy is what the metadata now references
@@ -1012,8 +1126,12 @@ Result<Dependency> LsmIndex::RelocateRunChunk(const Locator& old_loc, const Loca
   }
   SS_COVER("lsm.relocate_run_chunk");
   // The new run list must be durable before the old chunk's extent is reset; the new
-  // metadata record is gated on the evacuated copy.
-  return WriteMetadataLocked(new_dep);
+  // metadata record is gated on the evacuated copy. Until it is written the old chunk
+  // stays the referenced one, so a failed write publishes nothing.
+  std::shared_ptr<const Version> next = MakeVersion(std::move(runs));
+  SS_ASSIGN_OR_RETURN(Dependency meta_dep, WriteMetadataLocked(*next, new_dep));
+  current_ = std::move(next);
+  return meta_dep;
 }
 
 Dependency LsmIndex::StateDurableGate() {
@@ -1033,14 +1151,14 @@ size_t LsmIndex::MemtableEntries() const {
 
 size_t LsmIndex::RunCount() const {
   LockGuard lock(mu_);
-  return runs_.size();
+  return current_->runs.size();
 }
 
 size_t LsmIndex::RunCountAtLevel(int level) const {
   LockGuard lock(mu_);
   size_t count = 0;
-  for (const RunRef& run : runs_) {
-    count += run.level == level ? 1 : 0;
+  for (const Version::Level& l : current_->levels) {
+    count += l.level == level ? l.end - l.begin : 0;
   }
   return count;
 }
@@ -1048,8 +1166,8 @@ size_t LsmIndex::RunCountAtLevel(int level) const {
 std::vector<int> LsmIndex::RunLevels() const {
   LockGuard lock(mu_);
   std::vector<int> out;
-  out.reserve(runs_.size());
-  for (const RunRef& run : runs_) {
+  out.reserve(current_->runs.size());
+  for (const RunRef& run : current_->runs) {
     out.push_back(run.level);
   }
   return out;
@@ -1063,9 +1181,19 @@ uint64_t LsmIndex::MetadataVersion() const {
 std::vector<Locator> LsmIndex::RunLocators() const {
   LockGuard lock(mu_);
   std::vector<Locator> out;
-  out.reserve(runs_.size());
-  for (const RunRef& run : runs_) {
+  out.reserve(current_->runs.size());
+  for (const RunRef& run : current_->runs) {
     out.push_back(run.loc);
+  }
+  return out;
+}
+
+std::vector<std::shared_ptr<const RunFilter>> LsmIndex::RunFilters() const {
+  LockGuard lock(mu_);
+  std::vector<std::shared_ptr<const RunFilter>> out;
+  out.reserve(current_->runs.size());
+  for (const RunRef& run : current_->runs) {
+    out.push_back(run.filter);
   }
   return out;
 }

@@ -14,6 +14,15 @@
 // into memory on recovery, so negative lookups and out-of-range scans skip the chunk
 // read entirely.
 //
+// Read path: the run list is one immutable Version (runs oldest first, grouped by
+// level). Writers — recovery, flush, compaction, run relocation — build a new Version
+// and publish it under mu_ only once its metadata record is written; readers copy the
+// pointer under mu_ and search it without the lock. Each level >= 1 is the output of
+// one merge, so its segments' key spans ascend without overlap: Get probes every L0
+// segment newest first and then one segment per deeper level, found by binary search,
+// and Scan seeks each level to its first overlapping segment. A probed segment is
+// searched in place in the chunk payload; only the hit is decoded.
+//
 // Tombstone lifetime rule: a partial merge (CompactLevel) may drop a tombstone ONLY
 // when its output lands at the bottom level — otherwise an older version of the key in
 // a deeper run would resurrect. Full merges see every run, so their output is by
@@ -215,6 +224,9 @@ class LsmIndex {
   std::vector<int> RunLevels() const;
   uint64_t MetadataVersion() const;
   std::vector<Locator> RunLocators() const;
+  // Per-run pruning filters (key span + bloom), oldest run first; null where the
+  // filter could not be rebuilt at recovery.
+  std::vector<std::shared_ptr<const RunFilter>> RunFilters() const;
   // The lsm.* counters live in the registry passed at Open (or the private one): read
   // them via MetricRegistry::Snapshot().
   const MetricRegistry& metrics() const { return *metrics_; }
@@ -225,31 +237,68 @@ class LsmIndex {
     Dependency data_dep;
     uint64_t seq = 0;
   };
-  // A run's decoded content.
+  // A run's decoded content (the write path's merge input and output).
   using RunMap = std::map<ShardId, std::optional<ShardRecord>>;
+  // Entries of one source of a scan merge, in key order.
+  using Slice = std::vector<std::pair<ShardId, std::optional<ShardRecord>>>;
   // A run's serialized form plus the pruning header it embeds.
   struct BuiltRun {
     Bytes payload;
     std::shared_ptr<const RunFilter> filter;
   };
-  // A run decoded from its chunk: entries + the header's pruning metadata.
-  struct LoadedRun {
-    RunMap entries;
+  // A live run segment: its chunk locator, the dependency under which that chunk (or
+  // its most recent evacuated copy) becomes durable, its level, and the pruning filter
+  // decoded from its header (null = filter unavailable, read the chunk). Metadata
+  // records are gated on the conjunction of the deps, so a persisted metadata record
+  // never references a run chunk that is not itself durable.
+  struct RunRef {
+    Locator loc;
+    Dependency dep;
+    int level = 0;
     std::shared_ptr<const RunFilter> filter;
+  };
+  // An immutable run list. Never modified once published; writers build a new one.
+  struct Version {
+    // One level's segments: runs[begin, end).
+    struct Level {
+      int level = 0;
+      size_t begin = 0;
+      size_t end = 0;
+      // A level >= 1 whose segments all have filters with ascending, disjoint key
+      // spans: searched by key. Otherwise every segment is probed.
+      bool sorted = false;
+    };
+    std::vector<RunRef> runs;   // oldest first; levels non-increasing along the vector
+    std::vector<Level> levels;  // in `runs` order: deepest level first
+
+    // The first segment of sorted `level` whose key span ends at or after `key`
+    // (level.end if none does).
+    size_t Seek(const Level& level, ShardId key) const;
   };
 
   LsmIndex(ExtentManager* extents, ChunkStore* chunks, LsmOptions options,
            MetricRegistry* metrics);
 
   static BuiltRun BuildRun(const RunMap& entries);
-  static Result<LoadedRun> DeserializeRun(ByteSpan payload);
   // Splits a run into segments that each fit one chunk (header included).
   static std::vector<RunMap> PartitionRun(const RunMap& entries, size_t max_payload);
-  Result<LoadedRun> LoadRun(const Locator& loc, const SpanScope& scope = {});
+  // Groups `runs` into levels and decides which levels are sorted.
+  static std::shared_ptr<const Version> MakeVersion(std::vector<RunRef> runs);
 
-  // Serializes and appends the metadata record (runs + counters). Caller holds mu_.
-  // The record's write is gated on `input`.
-  Result<Dependency> WriteMetadataLocked(Dependency input, const SpanScope& scope = {});
+  // Point lookup across the runs of `version`, newest first.
+  Result<std::optional<ShardRecord>> GetFromRuns(const Version& version, ShardId id,
+                                                 const SpanScope& scope);
+  // Appends the entries of run chunk `loc` that fall in [start, end) to `out`.
+  Status AppendRunSlice(const Locator& loc, ShardId start, ShardId end, Slice* out,
+                        const SpanScope& scope);
+  // Decodes every entry of run chunk `loc` into `out`, newer entries overwriting.
+  Status MergeRunInto(const Locator& loc, RunMap* out, const SpanScope& scope = {});
+
+  // Serializes and appends the metadata record (the runs of `version` + counters).
+  // Caller holds mu_ and publishes `version` only if this succeeds. The record's write
+  // is gated on `input`.
+  Result<Dependency> WriteMetadataLocked(const Version& version, Dependency input,
+                                         const SpanScope& scope = {});
 
   // Resolves pending promises covered by `meta_dep` up to `max_seq`.
   void ResolvePromisesLocked(uint64_t max_seq, const Dependency& meta_dep);
@@ -272,20 +321,9 @@ class LsmIndex {
 
   mutable Mutex mu_{MutexAttr{"lsm.index", lockrank::kLsm}};      // memtable, runs, metadata state
   Mutex flush_mu_{MutexAttr{"lsm.flush", lockrank::kLsmFlush}};  // serializes Flush/Compact
-  // A live run: its chunk locator, the dependency under which that chunk (or its most
-  // recent evacuated copy) becomes durable, its level, and the pruning filter decoded
-  // from its header (null = filter unavailable, read the chunk). Metadata records are
-  // gated on the conjunction of the deps, so a persisted metadata record never
-  // references a run chunk that is not itself durable.
-  struct RunRef {
-    Locator loc;
-    Dependency dep;
-    int level = 0;
-    std::shared_ptr<const RunFilter> filter;
-  };
 
   std::map<ShardId, Entry> memtable_;
-  std::vector<RunRef> runs_;  // oldest first; levels non-increasing along the vector
+  std::shared_ptr<const Version> current_;  // the published run list; never null
   uint64_t version_ = 0;
   uint64_t next_seq_ = 1;
   std::vector<std::pair<uint64_t, Dependency>> pending_promises_;

@@ -9,6 +9,7 @@
 #include "src/common/bytes.h"
 #include "src/common/cover.h"
 #include "src/common/crc32c.h"
+#include "src/common/crc32c_internal.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
 #include "src/common/status.h"
@@ -150,6 +151,41 @@ TEST(Crc32c, KnownVectors) {
   // 32 bytes of 0xff.
   Bytes ones(32, 0xff);
   EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62a8ab43u);
+}
+
+TEST(Crc32c, CheckValue) {
+  // RFC 3720 / iSCSI check value: the ASCII digits "123456789".
+  Bytes digits = BytesOf("123456789");
+  EXPECT_EQ(Crc32c(digits.data(), digits.size()), 0xE3069283u);
+  EXPECT_EQ(crc32c_internal::Table(digits.data(), digits.size(), 0), 0xE3069283u);
+}
+
+// The hardware kernel must give the table kernel's bits for every length (around the
+// 8-byte stride), every start alignment and chained calls, or on-disk frames written on
+// one CPU would not verify on another.
+TEST(Crc32c, HardwareMatchesTable) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  Rng rng(0xc3c);
+  Bytes data(1100 + 16);
+  for (uint8_t& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1100; ++n) {
+      const uint8_t* p = data.data() + offset;
+      ASSERT_EQ(crc32c_internal::Hardware(p, n, 0), crc32c_internal::Table(p, n, 0))
+          << "offset " << offset << " length " << n;
+    }
+  }
+  for (size_t split = 0; split <= 200; ++split) {
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    const uint32_t head = crc32c_internal::Hardware(data.data() + 3, split, seed);
+    EXPECT_EQ(crc32c_internal::Hardware(data.data() + 3 + split, 200 - split, head),
+              crc32c_internal::Table(data.data() + 3, 200, seed))
+        << "split " << split;
+  }
 }
 
 TEST(Crc32c, Chaining) {

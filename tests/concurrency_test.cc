@@ -51,6 +51,11 @@ TEST_P(ConcurrencyBaseline, ScanCompactLevelPasses) {
   EXPECT_TRUE(result.ok) << result.error;
 }
 
+TEST_P(ConcurrencyBaseline, GetCompactLevelPasses) {
+  McResult result = McExplore(MakeGetCompactBody(), Pct(200, GetParam()));
+  EXPECT_TRUE(result.ok) << result.error;
+}
+
 TEST_P(ConcurrencyBaseline, CompactLevelReclaimPasses) {
   McResult result = McExplore(MakeCompactLevelReclaimBody(), Pct(200, GetParam()));
   EXPECT_TRUE(result.ok) << result.error;

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/cache/buffer_cache.h"
+#include "src/common/rng.h"
 #include "src/faults/faults.h"
 #include "src/lsm/lsm_index.h"
 
@@ -508,6 +511,213 @@ TEST_F(LsmTest, StatsAccumulate) {
   EXPECT_GE(snap.counter("lsm.gets"), 1u);
   EXPECT_EQ(snap.counter("lsm.flushes"), 1u);
   EXPECT_GE(snap.counter("lsm.metadata_writes"), 1u);
+}
+
+// --- Per-level search -------------------------------------------------------------------
+
+// A stack whose levels hold many segments: chunk payloads of 256 bytes fit about six
+// entries, on a disk large enough that nothing needs reclaiming.
+class LsmLevelTest : public testing::Test {
+ protected:
+  LsmLevelTest() { Format(); }
+
+  // A fresh, empty disk and index.
+  void Format(LsmOptions options = {}) {
+    index_.reset();
+    disk_ = std::make_unique<InMemoryDisk>(
+        DiskGeometry{.extent_count = 64, .pages_per_extent = 64, .page_size = 128});
+    Open(options);
+  }
+
+  // Opens (or recovers) the stack over the current disk.
+  void Open(LsmOptions options = {}) {
+    index_.reset();
+    scheduler_ = std::make_unique<IoScheduler>(disk_.get());
+    extents_ = std::make_unique<ExtentManager>(disk_.get(), scheduler_.get());
+    cache_ = std::make_unique<BufferCache>(extents_.get(), 256);
+    ChunkStoreOptions chunk_options;
+    chunk_options.max_payload_bytes = 256;
+    chunks_ = std::make_unique<ChunkStore>(extents_.get(), cache_.get(), chunk_options);
+    index_ = std::move(LsmIndex::Open(extents_.get(), chunks_.get(), options).value());
+  }
+
+  // Every level >= 1 is one merge's output: its segments have filters and their key
+  // spans ascend without overlap.
+  void ExpectDeepLevelsSorted() {
+    const std::vector<int> levels = index_->RunLevels();
+    const auto filters = index_->RunFilters();
+    ASSERT_EQ(levels.size(), filters.size());
+    for (size_t i = 0; i < levels.size(); ++i) {
+      if (levels[i] == 0) {
+        continue;
+      }
+      ASSERT_NE(filters[i], nullptr) << "segment " << i;
+      if (i > 0 && levels[i - 1] == levels[i]) {
+        EXPECT_LT(filters[i - 1]->max_key, filters[i]->min_key)
+            << "level " << levels[i] << " segments " << i - 1 << " and " << i << " overlap";
+      }
+    }
+  }
+
+  // Scan of [start, end) must equal the model's live entries in that window.
+  void ExpectScanMatches(const std::map<ShardId, ShardRecord>& model, ShardId start,
+                         ShardId end) {
+    auto items = index_->Scan(start, end).value();
+    auto it = model.lower_bound(start);
+    for (const LsmScanItem& item : items) {
+      ASSERT_TRUE(it != model.end() && it->first < end) << "extra key " << item.id;
+      EXPECT_EQ(item.id, it->first);
+      EXPECT_EQ(item.record, it->second);
+      ++it;
+    }
+    EXPECT_TRUE(it == model.end() || it->first >= end) << "scan lost key " << it->first;
+  }
+
+  uint64_t BloomEvents() {
+    MetricsSnapshot snap = index_->metrics().Snapshot();
+    return snap.counter("lsm.bloom.hit") + snap.counter("lsm.bloom.miss") +
+           snap.counter("lsm.bloom.false_positive");
+  }
+
+  std::unique_ptr<InMemoryDisk> disk_;
+  std::unique_ptr<IoScheduler> scheduler_;
+  std::unique_ptr<ExtentManager> extents_;
+  std::unique_ptr<BufferCache> cache_;
+  std::unique_ptr<ChunkStore> chunks_;
+  std::unique_ptr<LsmIndex> index_;
+};
+
+// A Get consults the filter of every L0 segment but of only one segment per deeper
+// level, however many segments that level holds.
+TEST_F(LsmLevelTest, GetConsultsOneSegmentPerDeepLevel) {
+  LsmOptions options;
+  options.level0_compaction_trigger = 3;
+  options.level_fanout = 2;
+  Format(options);
+  std::map<ShardId, ShardRecord> model;
+  for (uint32_t round = 0; round < 14; ++round) {
+    for (uint32_t k = 0; k < 9; ++k) {
+      const ShardId id = (round * 29 + k * 11) % 120;
+      index_->Put(id, MakeRecord(round * 100 + k), Dependency());
+      model[id] = MakeRecord(round * 100 + k);
+    }
+    ASSERT_TRUE(index_->Flush().ok());
+  }
+  ExpectDeepLevelsSorted();
+  const std::vector<int> levels = index_->RunLevels();
+  size_t l0 = 0;
+  std::map<int, size_t> deep;
+  for (int level : levels) {
+    l0 += level == 0 ? 1 : 0;
+    if (level > 0) {
+      ++deep[level];
+    }
+  }
+  ASSERT_FALSE(deep.empty());
+  ASSERT_GT(deep.rbegin()->second, 3u) << "the bottom level should hold several segments";
+  EXPECT_GT(index_->metrics().Snapshot().counter("lsm.level_compactions"), 2u);
+  for (ShardId id = 0; id < 130; ++id) {
+    const uint64_t before = BloomEvents();
+    auto got = index_->Get(id).value();
+    EXPECT_LE(BloomEvents() - before, l0 + deep.size()) << "key " << id;
+    auto want = model.find(id);
+    if (want == model.end()) {
+      EXPECT_EQ(got, std::nullopt) << "key " << id;
+    } else {
+      ASSERT_TRUE(got.has_value()) << "key " << id;
+      EXPECT_EQ(*got, want->second);
+    }
+  }
+  ExpectScanMatches(model, 0, 130);
+  ExpectScanMatches(model, 17, 61);
+}
+
+// A recovered segment whose chunk could not be read at Open has no filter; its level is
+// then probed segment by segment, and its keys are still found.
+TEST_F(LsmLevelTest, RecoveredSegmentWithoutFilterIsStillSearched) {
+  std::map<ShardId, ShardRecord> model;
+  for (uint32_t k = 0; k < 30; ++k) {
+    index_->Put(k * 3, MakeRecord(k), Dependency());
+    model[k * 3] = MakeRecord(k);
+  }
+  ASSERT_TRUE(index_->Flush().ok());
+  ASSERT_TRUE(index_->CompactLevel(0).ok());
+  ASSERT_GT(index_->RunCountAtLevel(1), 3u);
+  ASSERT_TRUE(scheduler_->FlushAll().ok());
+  const std::vector<Locator> locs = index_->RunLocators();
+  const Locator target = locs[locs.size() / 2];
+  {
+    ScopedFault guard(disk_->fault_injector());
+    // Exhaust every attempt of the first read of the target's extent: the recovery's
+    // filter rebuild for the first segment stored there.
+    disk_->fault_injector().FailReadTimes(target.extent, 3);
+    Open();
+  }
+  const auto filters = index_->RunFilters();
+  ASSERT_EQ(filters.size(), locs.size());
+  size_t missing = 0;
+  for (const auto& filter : filters) {
+    missing += filter == nullptr ? 1 : 0;
+  }
+  ASSERT_GE(missing, 1u) << "the injected read fault should have left one filter null";
+  for (ShardId id = 0; id < 92; ++id) {
+    auto got = index_->Get(id).value();
+    auto want = model.find(id);
+    EXPECT_EQ(got.has_value(), want != model.end()) << "key " << id;
+    if (got.has_value() && want != model.end()) {
+      EXPECT_EQ(*got, want->second);
+    }
+  }
+  ExpectScanMatches(model, 0, 100);
+  ExpectScanMatches(model, 40, 50);
+}
+
+// Random Put/Delete/Flush/CompactLevel/relocation sequences: after every step each deep
+// level is still sorted and disjoint, and Scan and Get agree with an ordered-map model.
+TEST_F(LsmLevelTest, RandomSequencesKeepLevelsSortedAndMatchModel) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Format();
+    Rng rng(seed);
+    std::map<ShardId, ShardRecord> model;
+    for (int step = 0; step < 160; ++step) {
+      const uint64_t op = rng.Below(100);
+      const ShardId id = rng.Below(64);
+      if (op < 45) {
+        const ShardRecord record = MakeRecord(static_cast<uint32_t>(step));
+        index_->Put(id, record, Dependency());
+        model[id] = record;
+      } else if (op < 60) {
+        index_->Delete(id);
+        model.erase(id);
+      } else if (op < 75) {
+        ASSERT_TRUE(index_->Flush().ok());
+      } else if (op < 90) {
+        ASSERT_TRUE(index_->CompactLevel(static_cast<int>(rng.Below(3))).ok());
+      } else {
+        const std::vector<Locator> locs = index_->RunLocators();
+        if (locs.empty()) {
+          continue;
+        }
+        const Locator old_loc = locs[rng.Below(locs.size())];
+        Bytes payload = chunks_->Get(old_loc).value();
+        ChunkPutResult moved = chunks_->Put(payload, Dependency()).value();
+        ASSERT_TRUE(index_->RelocateRunChunk(old_loc, moved.locator, moved.dep).ok());
+        chunks_->Unpin(moved.locator.extent);
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectDeepLevelsSorted()) << "step " << step;
+      const ShardId start = rng.Below(64);
+      ASSERT_NO_FATAL_FAILURE(ExpectScanMatches(model, 0, 64)) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(ExpectScanMatches(model, start, start + rng.Below(16)))
+          << "step " << step;
+      auto got = index_->Get(id).value();
+      auto want = model.find(id);
+      ASSERT_EQ(got.has_value(), want != model.end()) << "step " << step << " key " << id;
+      if (got.has_value()) {
+        EXPECT_EQ(*got, want->second);
+      }
+    }
+  }
 }
 
 }  // namespace
